@@ -14,6 +14,11 @@
 // public-key Encryptor::encrypt earlier revisions timed. Not comparable to
 // pre-migration numbers.
 //
+// NOTE: the Context column is parallel: the key-switching keys are expanded
+// on a pool with one thread per core (the randomness is still drawn
+// serially, so the keys are unchanged). It shrinks with the core count and
+// is not comparable to earlier single-threaded numbers.
+//
 //===----------------------------------------------------------------------===//
 
 #include "bench_common.h"

@@ -19,9 +19,12 @@
 #include "eva/support/Random.h"
 
 #include <array>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <vector>
 
 namespace eva {
 
@@ -35,6 +38,15 @@ namespace eva {
 RnsPoly expandUniformNtt(const CkksContext &Ctx, size_t PrimeCount,
                          uint64_t Seed);
 
+/// Threading contract: the randomness of every key is drawn serially on
+/// the calling thread, in a fixed order (per key-switching key and digit:
+/// the c1 expansion seed, then N rounded-Gaussian error coefficients), and
+/// the draws are then expanded into key polynomials on a pool scoped to the
+/// call. Each key is written to its own slot, so the keys depend only on
+/// the draws (in reproducible mode: only on the seed), never on the thread
+/// count or the schedule. A one-key call runs inline, and no thread
+/// outlives a call. A KeyGenerator itself is not thread-safe: one caller at
+/// a time.
 class KeyGenerator {
 public:
   /// \p ReproducibleExpansionSeeds: by default, the expansion seeds
@@ -62,8 +74,6 @@ public:
   RnsPoly sampleTernaryNtt(size_t PrimeCount);
   /// Samples an error polynomial in NTT form over \p PrimeCount primes.
   RnsPoly sampleErrorNtt(size_t PrimeCount);
-  /// Samples a uniform polynomial over \p PrimeCount primes (NTT form).
-  RnsPoly sampleUniform(size_t PrimeCount);
 
   RandomSource &rng() { return Rng; }
 
@@ -72,14 +82,32 @@ public:
   uint64_t deriveSeed();
 
 private:
-  /// (c0, c1) with c0 + c1*s = e over the first \p PrimeCount primes. When
-  /// \p C1SeedOut is non-null, c1 is expanded from a derived seed (written
-  /// through the pointer) so serialization can ship the seed instead.
-  std::array<RnsPoly, 2> encryptZeroSymmetric(size_t PrimeCount,
-                                              uint64_t *C1SeedOut = nullptr);
-  /// Builds a key-switching key for target polynomial \p W (NTT form over
-  /// all primes): component i encrypts P * W * (CRT basis_i).
-  KSwitchKey createKSwitchKey(const RnsPoly &W);
+  /// The serially drawn randomness of one encryption of zero.
+  struct ZeroDraw {
+    uint64_t C1Seed = 0;       ///< expands to the uniform c1
+    std::vector<int8_t> Error; ///< N coefficients, |e| <= 6 sigma < 20
+  };
+
+  /// N rounded-Gaussian coefficients from Rng.
+  std::vector<int8_t> drawError();
+  /// Serial step: the expansion seed from deriveSeed(), then the error.
+  ZeroDraw drawZero();
+  /// Pure step: (c0, c1) with c0 + c1*s = e over the first \p PrimeCount
+  /// primes. Reads only \p D, the secret key and the context, so any
+  /// number of expansions may run concurrently.
+  std::array<RnsPoly, 2> expandZero(const ZeroDraw &D,
+                                    size_t PrimeCount) const;
+  /// Pure step: the key-switching key for target \p W (NTT form over all
+  /// primes) from one draw per digit; component i encrypts
+  /// P * W * (CRT basis_i).
+  KSwitchKey expandKSwitchKey(const RnsPoly &W,
+                              const std::vector<ZeroDraw> &Draws) const;
+  /// Draws \p KeyCount key-switching keys serially, in order, and expands
+  /// key K for target \p Target(K) into slot K on a call-scoped pool.
+  /// \p Target is evaluated on pool threads and must be thread-safe.
+  std::vector<KSwitchKey>
+  createKSwitchKeys(size_t KeyCount,
+                    const std::function<RnsPoly(size_t)> &Target);
 
   std::shared_ptr<const CkksContext> Ctx;
   RandomSource Rng;

@@ -7,6 +7,11 @@
 #include "eva/ckks/KeyGenerator.h"
 
 #include "eva/ckks/Galois.h"
+#include "eva/support/ThreadPool.h"
+
+#include <algorithm>
+#include <atomic>
+#include <thread>
 
 using namespace eva;
 
@@ -52,6 +57,25 @@ uint64_t splitMix64(uint64_t X) {
   return X ^ (X >> 31);
 }
 
+/// Small signed coefficients -> NTT form over the first \p PrimeCount
+/// primes (a negative v maps to q - |v|).
+template <typename T>
+RnsPoly liftSignedNtt(const CkksContext &Ctx, const std::vector<T> &Coeffs,
+                      size_t PrimeCount) {
+  uint64_t N = Ctx.polyDegree();
+  RnsPoly P(N, PrimeCount);
+  for (size_t C = 0; C < PrimeCount; ++C) {
+    uint64_t Q = Ctx.prime(C).value();
+    for (uint64_t I = 0; I < N; ++I) {
+      int64_t V = Coeffs[I];
+      P.Comps[C][I] =
+          V < 0 ? Q - static_cast<uint64_t>(-V) : static_cast<uint64_t>(V);
+    }
+    Ctx.ntt(C).forward(P.Comps[C]);
+  }
+  return P;
+}
+
 } // namespace
 
 KeyGenerator::KeyGenerator(std::shared_ptr<const CkksContext> CtxIn,
@@ -68,49 +92,22 @@ KeyGenerator::KeyGenerator(std::shared_ptr<const CkksContext> CtxIn,
 }
 
 RnsPoly KeyGenerator::sampleTernaryNtt(size_t PrimeCount) {
-  uint64_t N = Ctx->polyDegree();
-  std::vector<int> Coeffs(N);
-  for (uint64_t I = 0; I < N; ++I)
-    Coeffs[I] = Rng.ternary();
-  RnsPoly P(N, PrimeCount);
-  for (size_t C = 0; C < PrimeCount; ++C) {
-    const Modulus &Q = Ctx->prime(C);
-    for (uint64_t I = 0; I < N; ++I) {
-      int V = Coeffs[I];
-      P.Comps[C][I] = V < 0 ? Q.value() - 1 : static_cast<uint64_t>(V);
-    }
-    Ctx->ntt(C).forward(P.Comps[C]);
-  }
-  return P;
+  std::vector<int> Coeffs(Ctx->polyDegree());
+  for (int &V : Coeffs)
+    V = Rng.ternary();
+  return liftSignedNtt(*Ctx, Coeffs, PrimeCount);
+}
+
+std::vector<int8_t> KeyGenerator::drawError() {
+  // gaussian() clamps to 6 sigma (19.2) before rounding: |e| <= 19.
+  std::vector<int8_t> Coeffs(Ctx->polyDegree());
+  for (int8_t &V : Coeffs)
+    V = static_cast<int8_t>(Rng.gaussian());
+  return Coeffs;
 }
 
 RnsPoly KeyGenerator::sampleErrorNtt(size_t PrimeCount) {
-  uint64_t N = Ctx->polyDegree();
-  std::vector<int64_t> Coeffs(N);
-  for (uint64_t I = 0; I < N; ++I)
-    Coeffs[I] = Rng.gaussian();
-  RnsPoly P(N, PrimeCount);
-  for (size_t C = 0; C < PrimeCount; ++C) {
-    const Modulus &Q = Ctx->prime(C);
-    for (uint64_t I = 0; I < N; ++I) {
-      int64_t V = Coeffs[I];
-      P.Comps[C][I] = V < 0 ? Q.value() - static_cast<uint64_t>(-V)
-                            : static_cast<uint64_t>(V);
-    }
-    Ctx->ntt(C).forward(P.Comps[C]);
-  }
-  return P;
-}
-
-RnsPoly KeyGenerator::sampleUniform(size_t PrimeCount) {
-  uint64_t N = Ctx->polyDegree();
-  RnsPoly P(N, PrimeCount);
-  for (size_t C = 0; C < PrimeCount; ++C) {
-    uint64_t Q = Ctx->prime(C).value();
-    for (uint64_t I = 0; I < N; ++I)
-      P.Comps[C][I] = Rng.uniformBelow(Q);
-  }
-  return P;
+  return liftSignedNtt(*Ctx, drawError(), PrimeCount);
 }
 
 uint64_t KeyGenerator::deriveSeed() {
@@ -132,18 +129,18 @@ uint64_t KeyGenerator::deriveSeed() {
   return S == 0 ? 0x9E3779B97F4A7C15ull : S;
 }
 
-std::array<RnsPoly, 2> KeyGenerator::encryptZeroSymmetric(size_t PrimeCount,
-                                                          uint64_t *C1SeedOut) {
-  uint64_t N = Ctx->polyDegree();
-  RnsPoly C1;
-  if (C1SeedOut) {
-    *C1SeedOut = deriveSeed();
-    C1 = expandUniformNtt(*Ctx, PrimeCount, *C1SeedOut);
-  } else {
-    C1 = sampleUniform(PrimeCount);
-  }
-  RnsPoly E = sampleErrorNtt(PrimeCount);
-  RnsPoly C0(N, PrimeCount);
+KeyGenerator::ZeroDraw KeyGenerator::drawZero() {
+  ZeroDraw D;
+  D.C1Seed = deriveSeed();
+  D.Error = drawError();
+  return D;
+}
+
+std::array<RnsPoly, 2> KeyGenerator::expandZero(const ZeroDraw &D,
+                                                size_t PrimeCount) const {
+  RnsPoly C1 = expandUniformNtt(*Ctx, PrimeCount, D.C1Seed);
+  RnsPoly E = liftSignedNtt(*Ctx, D.Error, PrimeCount);
+  RnsPoly C0(Ctx->polyDegree(), PrimeCount);
   // c0 = e - c1 * s, so that c0 + c1 * s = e.
   for (size_t C = 0; C < PrimeCount; ++C) {
     const Modulus &Q = Ctx->prime(C);
@@ -154,27 +151,27 @@ std::array<RnsPoly, 2> KeyGenerator::encryptZeroSymmetric(size_t PrimeCount,
 }
 
 PublicKey KeyGenerator::createPublicKey() {
-  uint64_t Seed = 0;
-  std::array<RnsPoly, 2> Z =
-      encryptZeroSymmetric(Ctx->totalPrimeCount(), &Seed);
+  ZeroDraw D = drawZero();
+  std::array<RnsPoly, 2> Z = expandZero(D, Ctx->totalPrimeCount());
   PublicKey Pk;
   Pk.P0 = std::move(Z[0]);
   Pk.P1 = std::move(Z[1]);
-  Pk.P1Seed = Seed;
+  Pk.P1Seed = D.C1Seed;
   return Pk;
 }
 
-KSwitchKey KeyGenerator::createKSwitchKey(const RnsPoly &W) {
+KSwitchKey
+KeyGenerator::expandKSwitchKey(const RnsPoly &W,
+                               const std::vector<ZeroDraw> &Draws) const {
   assert(W.primeCount() == Ctx->totalPrimeCount() &&
          "key target must span all primes");
-  size_t DecompCount = Ctx->dataPrimeCount();
+  assert(Draws.size() == Ctx->dataPrimeCount() && "one draw per digit");
   uint64_t SpecialPrime = Ctx->prime(Ctx->specialPrimeIndex()).value();
   KSwitchKey Key;
-  Key.Keys.resize(DecompCount);
-  Key.C1Seeds.resize(DecompCount, 0);
-  for (size_t I = 0; I < DecompCount; ++I) {
-    std::array<RnsPoly, 2> Z =
-        encryptZeroSymmetric(Ctx->totalPrimeCount(), &Key.C1Seeds[I]);
+  Key.Keys.resize(Draws.size());
+  Key.C1Seeds.resize(Draws.size(), 0);
+  for (size_t I = 0; I < Draws.size(); ++I) {
+    std::array<RnsPoly, 2> Z = expandZero(Draws[I], Ctx->totalPrimeCount());
     // Add P * W on the i-th CRT component only (the CRT basis trick).
     const Modulus &Qi = Ctx->prime(I);
     uint64_t Factor = Qi.reduce(SpecialPrime);
@@ -184,24 +181,62 @@ KSwitchKey KeyGenerator::createKSwitchKey(const RnsPoly &W) {
     for (uint64_t N = 0; N < Ctx->polyDegree(); ++N)
       Dst[N] = addMod(Dst[N], mulModShoup(Src[N], FactorMul, Qi), Qi);
     Key.Keys[I] = std::move(Z);
+    Key.C1Seeds[I] = Draws[I].C1Seed;
   }
   return Key;
 }
 
+std::vector<KSwitchKey> KeyGenerator::createKSwitchKeys(
+    size_t KeyCount, const std::function<RnsPoly(size_t)> &Target) {
+  std::vector<KSwitchKey> Out(KeyCount);
+  if (KeyCount == 0)
+    return Out;
+  // Declared before the pool: if a draw throws, the pool's destructor still
+  // runs queued tasks, which touch it.
+  std::atomic<size_t> Expanded{0};
+  size_t Threads = std::min<size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), KeyCount);
+  // Call-scoped pool; ROADMAP item 2's process pool replaces it.
+  ThreadPool Pool(Threads);
+  // The caller draws ahead of the expanders by at most this many keys, so
+  // pending draws (and in-flight targets) scale with the thread count, not
+  // the key count.
+  const size_t MaxAhead = 2 * Threads;
+  for (size_t K = 0; K < KeyCount; ++K) {
+    std::vector<ZeroDraw> Draws;
+    Draws.reserve(Ctx->dataPrimeCount());
+    for (size_t I = 0; I < Ctx->dataPrimeCount(); ++I)
+      Draws.push_back(drawZero());
+    Pool.submit([this, &Target, &Out, &Expanded, &Pool, K,
+                 Draws = std::move(Draws)] {
+      Out[K] = expandKSwitchKey(Target(K), Draws);
+      Expanded.fetch_add(1);
+      Pool.poke();
+    });
+    // Runs queued expansions on this thread while too far ahead.
+    Pool.helpUntil([&] { return K + 1 - Expanded.load() < MaxAhead; });
+  }
+  Pool.waitIdle();
+  return Out;
+}
+
 RelinKeys KeyGenerator::createRelinKeys() {
-  // Target w = s^2 over all primes.
-  RnsPoly S2(Ctx->polyDegree(), Ctx->totalPrimeCount());
-  for (size_t C = 0; C < Ctx->totalPrimeCount(); ++C)
-    mulPolyComp(Secret.S.Comps[C], Secret.S.Comps[C], S2.Comps[C],
-                Ctx->prime(C));
   RelinKeys Rk;
-  Rk.Key = createKSwitchKey(S2);
+  Rk.Key = std::move(createKSwitchKeys(1, [this](size_t) {
+    // Target w = s^2 over all primes.
+    RnsPoly S2(Ctx->polyDegree(), Ctx->totalPrimeCount());
+    for (size_t C = 0; C < Ctx->totalPrimeCount(); ++C)
+      mulPolyComp(Secret.S.Comps[C], Secret.S.Comps[C], S2.Comps[C],
+                  Ctx->prime(C));
+    return S2;
+  })[0]);
   return Rk;
 }
 
 GaloisKeys KeyGenerator::createGaloisKeys(const std::set<uint64_t> &Steps) {
-  GaloisKeys Gk;
   uint64_t Slots = Ctx->slotCount();
+  // Distinct Galois elements in step order, which is the draw order.
+  std::vector<uint64_t> Elts;
   for (uint64_t Step : Steps) {
     // Slot rotation is cyclic with period N/2, so normalize before mapping
     // to a Galois element: step 0 (and any multiple of the slot count, e.g.
@@ -211,11 +246,18 @@ GaloisKeys KeyGenerator::createGaloisKeys(const std::set<uint64_t> &Steps) {
     if (Step == 0)
       continue;
     uint64_t G = galoisEltFromStep(Step, Ctx->polyDegree());
-    if (Gk.has(G))
-      continue;
-    RnsPoly SG = applyGaloisNttPoly(*Ctx, Secret.S, G,
-                                    /*SpansSpecialPrime=*/true);
-    Gk.Keys.emplace(G, createKSwitchKey(SG));
+    if (std::find(Elts.begin(), Elts.end(), G) == Elts.end())
+      Elts.push_back(G);
   }
+  // One task per key: its target s(X^g) is built on the pool thread, so
+  // only the in-flight keys' targets are ever resident.
+  std::vector<KSwitchKey> Keys =
+      createKSwitchKeys(Elts.size(), [this, &Elts](size_t K) {
+        return applyGaloisNttPoly(*Ctx, Secret.S, Elts[K],
+                                  /*SpansSpecialPrime=*/true);
+      });
+  GaloisKeys Gk;
+  for (size_t K = 0; K < Elts.size(); ++K)
+    Gk.Keys.emplace(Elts[K], std::move(Keys[K]));
   return Gk;
 }

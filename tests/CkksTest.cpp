@@ -12,6 +12,8 @@
 #include "eva/ckks/Galois.h"
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/math/Primes.h"
+#include "eva/serialize/CkksIO.h"
+#include "eva/service/Audit.h"
 #include "eva/support/Random.h"
 
 #include <gtest/gtest.h>
@@ -366,6 +368,44 @@ TEST_F(CkksFixture, RotateHoistedMatchesCyclicShiftAtLowerLevel) {
     EXPECT_NEAR(A[I], In[(I + 3) % 2048], 1e-5) << "slot " << I;
     EXPECT_NEAR(B[I], In[(I + 300) % 2048], 1e-5) << "slot " << I;
   }
+}
+
+/// FNV-1a-64 of the wire bytes of a relin, Galois and public key set.
+uint64_t keyBytesHash(const RelinKeys &Rk, const GaloisKeys &Gk,
+                      const PublicKey &Pk) {
+  uint64_t H = fnv1a64(serializeRelinKeys(Rk));
+  H = fnv1a64(serializeGaloisKeys(Gk), H);
+  return fnv1a64(serializePublicKey(Pk), H);
+}
+
+TEST(CkksTest, KeygenBytesPinnedAcrossThreadCounts) {
+  // Reproducible-mode keys are a pure function of the seed: the pinned hash
+  // was captured from the serial generator and must hold whatever the
+  // host's thread count. Identity steps (0, slotCount, 2*slotCount) need no
+  // key and must not perturb the draw order.
+  auto Ctx = makeContext(4096, {50, 40, 40, 50});
+  uint64_t Slots = Ctx->slotCount();
+  std::set<uint64_t> Steps = {1, 3, 5, 300, 0, Slots, 2 * Slots};
+  constexpr uint64_t Pinned = 0x707bb762d97d15a7ull;
+
+  KeyGenerator Gen(Ctx, 2024, /*ReproducibleExpansionSeeds=*/true);
+  PublicKey Pk = Gen.createPublicKey();
+  RelinKeys Rk = Gen.createRelinKeys();
+  GaloisKeys Gk = Gen.createGaloisKeys(Steps);
+  ASSERT_EQ(Gk.Keys.size(), 4u);
+  EXPECT_EQ(keyBytesHash(Rk, Gk, Pk), Pinned);
+
+  // The same keys one step per call: every call holds a single key and so
+  // runs inline on the caller, and the draw order is unchanged.
+  KeyGenerator Single(Ctx, 2024, /*ReproducibleExpansionSeeds=*/true);
+  PublicKey Pk1 = Single.createPublicKey();
+  RelinKeys Rk1 = Single.createRelinKeys();
+  GaloisKeys Gk1;
+  for (uint64_t Step : Steps) {
+    GaloisKeys One = Single.createGaloisKeys({Step});
+    Gk1.Keys.merge(One.Keys);
+  }
+  EXPECT_EQ(keyBytesHash(Rk1, Gk1, Pk1), Pinned);
 }
 
 TEST(Galois, EltFromStepMatchesPowersOfFive) {
